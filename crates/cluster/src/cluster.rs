@@ -11,6 +11,11 @@
 //! Every observable transition is appended to the informer buffer; HTA's
 //! init-time tracker and the Work Queue driver drain it with
 //! [`Cluster::drain_watch`].
+//!
+//! A pod's record is dropped the moment it turns terminal (its watch event
+//! still goes out), so the pod table and every walk over it follow the
+//! live pods, not the run's history; [`ClusterStats`] keeps the terminal
+//! counts.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +23,7 @@ use hta_des::{Duration, SimRng, SimTime};
 use hta_resources::Resources;
 
 use crate::config::ClusterConfig;
-use crate::ids::{IdGen, NodeId, PodId};
+use crate::ids::{IdGen, ImageId, NodeId, PodId};
 use crate::image::Registry;
 use crate::node::{Node, NodeState};
 use crate::pod::{PendingReason, Pod, PodPhase, PodSpec};
@@ -35,7 +40,7 @@ pub enum ClusterEvent {
     /// The provider reclaimed a preemptible node (spot pool only).
     NodePreempted(NodeId),
     /// Kubelet finished pulling a pod's image on a node.
-    PodImagePulled(PodId, NodeId),
+    PodImagePulled(PodId, NodeId, ImageId),
     /// A pull attempt failed (fault injection); the kubelet begins
     /// attempt number `.2` after its `ImagePullBackOff` delay.
     PodPullRetry(PodId, NodeId, u32),
@@ -95,7 +100,12 @@ pub struct Cluster {
     cfg: ClusterConfig,
     registry: Registry,
     nodes: BTreeMap<NodeId, Node>,
+    /// Non-terminal pods.
     pods: BTreeMap<PodId, Pod>,
+    /// Pods that turned terminal, by phase (their records are gone).
+    pods_succeeded: usize,
+    pods_failed: usize,
+    pods_deleted: usize,
     /// FIFO queue of pods awaiting a node binding.
     pending: Vec<PodId>,
     node_ids: IdGen,
@@ -125,6 +135,9 @@ impl Cluster {
             registry,
             nodes: BTreeMap::new(),
             pods: BTreeMap::new(),
+            pods_succeeded: 0,
+            pods_failed: 0,
+            pods_deleted: 0,
             pending: Vec::new(),
             node_ids: IdGen::default(),
             pod_ids: IdGen::default(),
@@ -215,20 +228,19 @@ impl Cluster {
     /// Delete a pod (eviction semantics): running pods turn `Failed`,
     /// pending pods are simply removed. Frees node resources immediately.
     pub fn delete_pod(&mut self, now: SimTime, id: PodId) -> Vec<Effect> {
-        let Some(pod) = self.pods.get_mut(&id) else {
+        let Some(pod) = self.pods.get(&id) else {
             return Vec::new();
         };
-        if pod.phase.is_terminal() {
-            return Vec::new();
-        }
         let was_running = pod.phase == PodPhase::Running;
-        let node = pod.node.take();
-        pod.phase = if was_running {
-            PodPhase::Failed
-        } else {
-            PodPhase::Deleted
-        };
-        pod.finished_at = Some(now);
+        let node = pod.node;
+        self.retire_pod(
+            id,
+            if was_running {
+                PodPhase::Failed
+            } else {
+                PodPhase::Deleted
+            },
+        );
         self.pending.retain(|p| *p != id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
@@ -252,15 +264,11 @@ impl Cluster {
     /// worker drain — the paper's *Worker-Pod Stopped* state). Frees the
     /// node's resources.
     pub fn complete_pod(&mut self, now: SimTime, id: PodId) -> Vec<Effect> {
-        let Some(pod) = self.pods.get_mut(&id) else {
+        let Some(pod) = self.pods.get(&id) else {
             return Vec::new();
         };
-        if pod.phase.is_terminal() {
-            return Vec::new();
-        }
-        let node = pod.node.take();
-        pod.phase = PodPhase::Succeeded;
-        pod.finished_at = Some(now);
+        let node = pod.node;
+        self.retire_pod(id, PodPhase::Succeeded);
         self.pending.retain(|p| *p != id);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
@@ -289,14 +297,10 @@ impl Cluster {
         self.watch
             .push(WatchEvent::node(now, WatchKind::NodeRemoved(id)));
         for pid in victims {
-            if let Some(pod) = self.pods.get_mut(&pid) {
-                if !pod.phase.is_terminal() {
-                    pod.phase = PodPhase::Failed;
-                    pod.finished_at = Some(now);
-                    pod.node = None;
-                    self.watch
-                        .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
-                }
+            if self.pods.contains_key(&pid) {
+                self.retire_pod(pid, PodPhase::Failed);
+                self.watch
+                    .push(WatchEvent::pod(now, pid, WatchKind::PodFailed));
             }
         }
         // Pods that were pending on this node never started; nothing else
@@ -333,7 +337,9 @@ impl Cluster {
             ClusterEvent::ControllerTick => self.controller_tick(now),
             ClusterEvent::NodeProvisioned(id) => self.node_provisioned(now, id),
             ClusterEvent::NodePreempted(id) => self.fail_node(now, id),
-            ClusterEvent::PodImagePulled(pod, node) => self.image_pulled(now, pod, node),
+            ClusterEvent::PodImagePulled(pod, node, image) => {
+                self.image_pulled(now, pod, node, image)
+            }
             ClusterEvent::PodPullRetry(pod, node, attempt) => {
                 self.pod_pull_retry(now, pod, node, attempt)
             }
@@ -503,13 +509,19 @@ impl Cluster {
         self.try_schedule_all(now)
     }
 
-    fn image_pulled(&mut self, now: SimTime, pod_id: PodId, node_id: NodeId) -> Vec<Effect> {
-        // The pull completed on the node regardless of the pod's fate.
+    fn image_pulled(
+        &mut self,
+        now: SimTime,
+        pod_id: PodId,
+        node_id: NodeId,
+        image: ImageId,
+    ) -> Vec<Effect> {
+        // The pull completed on the node regardless of the pod's fate
+        // (the event carries the image: a pod that died meanwhile has no
+        // record left to read it from).
         if let Some(n) = self.nodes.get_mut(&node_id) {
             if n.state == NodeState::Ready {
-                if let Some(pod) = self.pods.get(&pod_id) {
-                    n.cache_image(pod.spec.image);
-                }
+                n.cache_image(image);
             }
         }
         let Some(pod) = self.pods.get_mut(&pod_id) else {
@@ -532,13 +544,20 @@ impl Cluster {
     /// (`ErrImagePull`): the transfer time is spent anyway, then the
     /// kubelet backs off on the capped-exponential schedule before the
     /// next attempt — or gives up once the attempt budget is exhausted.
-    fn start_pull(&mut self, pid: PodId, nid: NodeId, attempt: u32, pull: Duration) -> Effect {
+    fn start_pull(
+        &mut self,
+        pid: PodId,
+        nid: NodeId,
+        image: ImageId,
+        attempt: u32,
+        pull: Duration,
+    ) -> Effect {
         let faults = self.cfg.faults.clone();
         // No draw at rate 0 so fault-free runs keep their RNG stream.
         let failed =
             faults.image_pull_fail_rate > 0.0 && self.rng.uniform() < faults.image_pull_fail_rate;
         if !failed {
-            return (pull, ClusterEvent::PodImagePulled(pid, nid));
+            return (pull, ClusterEvent::PodImagePulled(pid, nid, image));
         }
         let next = attempt + 1;
         if next >= faults.image_pull_max_attempts {
@@ -570,7 +589,7 @@ impl Cluster {
         }
         let image = self.pods[&pod_id].spec.image;
         let pull = self.registry.pull_duration(image, &mut self.rng);
-        vec![self.start_pull(pod_id, node_id, attempt, pull)]
+        vec![self.start_pull(pod_id, node_id, image, attempt, pull)]
     }
 
     /// The kubelet exhausted its pull attempts: fail the pod and free its
@@ -583,9 +602,8 @@ impl Cluster {
             return Vec::new();
         }
         self.fault_stats.image_pull_gaveups += 1;
-        let node = pod.node.take();
-        pod.phase = PodPhase::Failed;
-        pod.finished_at = Some(now);
+        let node = pod.node;
+        self.retire_pod(pod_id, PodPhase::Failed);
         if let Some(nid) = node {
             if let Some(n) = self.nodes.get_mut(&nid) {
                 n.release_pod(pod_id.raw(), now);
@@ -600,7 +618,7 @@ impl Cluster {
         let Some(pod) = self.pods.get_mut(&pod_id) else {
             return Vec::new();
         };
-        if pod.phase.is_terminal() || pod.phase == PodPhase::Running {
+        if pod.phase == PodPhase::Running {
             return Vec::new();
         }
         let Some(node) = pod.node else {
@@ -662,7 +680,7 @@ impl Cluster {
                         self.watch
                             .push(WatchEvent::pod(now, pid, WatchKind::PodImagePulled(nid)));
                     } else {
-                        fx.push(self.start_pull(pid, nid, 0, pull));
+                        fx.push(self.start_pull(pid, nid, image, 0, pull));
                     }
                 }
                 None => {
@@ -678,6 +696,18 @@ impl Cluster {
         }
         self.pending = still_pending;
         fx
+    }
+
+    /// Drop a pod that turned terminal in `phase`, counting it for
+    /// [`Cluster::stats`]. The one place a pod leaves the table.
+    fn retire_pod(&mut self, id: PodId, phase: PodPhase) {
+        debug_assert!(phase.is_terminal());
+        self.pods.remove(&id);
+        match phase {
+            PodPhase::Succeeded => self.pods_succeeded += 1,
+            PodPhase::Failed => self.pods_failed += 1,
+            _ => self.pods_deleted += 1,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -716,7 +746,7 @@ impl Cluster {
             .sum()
     }
 
-    /// A pod by id.
+    /// A non-terminal pod by id (`None` once it has turned terminal).
     pub fn pod(&self, id: PodId) -> Option<&Pod> {
         self.pods.get(&id)
     }
@@ -726,16 +756,14 @@ impl Cluster {
         self.nodes.get(&id)
     }
 
-    /// All pods (any phase).
+    /// All non-terminal pods.
     pub fn pods(&self) -> impl Iterator<Item = &Pod> {
         self.pods.values()
     }
 
     /// Non-terminal pods in a group.
     pub fn live_pods_in_group<'a>(&'a self, group: &'a str) -> impl Iterator<Item = &'a Pod> + 'a {
-        self.pods
-            .values()
-            .filter(move |p| p.spec.group == group && !p.phase.is_terminal())
+        self.pods.values().filter(move |p| p.spec.group == group)
     }
 
     /// Number of non-terminal pods in a group (HPA's "current replicas").
@@ -759,7 +787,12 @@ impl Cluster {
 
     /// Aggregate counters by phase/state (monitoring endpoints).
     pub fn stats(&self) -> ClusterStats {
-        let mut st = ClusterStats::default();
+        let mut st = ClusterStats {
+            pods_succeeded: self.pods_succeeded,
+            pods_failed: self.pods_failed,
+            pods_deleted: self.pods_deleted,
+            ..ClusterStats::default()
+        };
         for n in self.nodes.values() {
             match n.state {
                 NodeState::Provisioning => st.nodes_provisioning += 1,
@@ -774,9 +807,7 @@ impl Cluster {
                 }
                 PodPhase::Pending(PendingReason::PullingImage) => st.pods_pulling += 1,
                 PodPhase::Running => st.pods_running += 1,
-                PodPhase::Succeeded => st.pods_succeeded += 1,
-                PodPhase::Failed => st.pods_failed += 1,
-                PodPhase::Deleted => st.pods_deleted += 1,
+                PodPhase::Succeeded | PodPhase::Failed | PodPhase::Deleted => {}
             }
         }
         st
@@ -807,13 +838,8 @@ impl Cluster {
                 n.pool.len(),
             );
         }
-        let live_pods: Vec<&Pod> = self
-            .pods
-            .values()
-            .filter(|p| !p.phase.is_terminal())
-            .collect();
-        let _ = writeln!(out, "PODS ({} live):", live_pods.len());
-        for p in live_pods {
+        let _ = writeln!(out, "PODS ({} live):", self.pods.len());
+        for p in self.pods.values() {
             let age = now.since(p.created_at).as_secs_f64();
             let _ = writeln!(
                 out,
@@ -828,9 +854,13 @@ impl Cluster {
         out
     }
 
-    /// Debug invariant: every node pool's allocations reference live pods
-    /// bound to that node, and sums are consistent.
+    /// Debug invariant: the pod table holds no terminal pod, every node
+    /// pool's allocations reference live pods bound to that node, and sums
+    /// are consistent.
     pub fn check_invariants(&self) -> bool {
+        if self.pods.values().any(|p| p.phase.is_terminal()) {
+            return false;
+        }
         for node in self.nodes.values() {
             if !node.pool.check_invariant() {
                 return false;
@@ -1072,7 +1102,8 @@ mod tests {
 
         c.drain_watch();
         let _ = c.delete_pod(q.now(), p1);
-        assert_eq!(c.pod(p1).unwrap().phase, PodPhase::Failed);
+        assert!(c.pod(p1).is_none(), "a terminal pod leaves the table");
+        assert_eq!(c.stats().pods_failed, 1);
         let events = c.drain_watch();
         assert!(events.iter().any(|e| e.kind == WatchKind::PodFailed));
         // Node is free again.
@@ -1095,7 +1126,8 @@ mod tests {
         run_to_quiescence(&mut c, fx, &mut q, 1000);
         let (p2, _fx) = c.create_pod(q.now(), worker_spec(img));
         let _ = c.delete_pod(q.now(), p2);
-        assert_eq!(c.pod(p2).unwrap().phase, PodPhase::Deleted);
+        assert!(c.pod(p2).is_none(), "a terminal pod leaves the table");
+        assert_eq!(c.stats().pods_deleted, 1);
         assert_eq!(c.pending_pod_count(), 0);
     }
 
@@ -1204,12 +1236,13 @@ mod tests {
             for (d, e) in c.handle(now, ev) {
                 q.schedule_in(d, e);
             }
-            if c.pod(p1).is_some_and(|p| p.phase == PodPhase::Failed) {
+            if c.pod(p1).is_none() {
                 preempted = true;
                 break;
             }
         }
         assert!(preempted, "spot node must be reclaimed within 2 h");
+        assert_eq!(c.stats().pods_failed, 1);
         assert!(c.check_invariants());
     }
 
@@ -1253,7 +1286,8 @@ mod tests {
         for (d, e) in fx {
             q.schedule_in(d, e);
         }
-        assert_eq!(c.pod(p1).unwrap().phase, PodPhase::Failed);
+        assert!(c.pod(p1).is_none(), "a terminal pod leaves the table");
+        assert_eq!(c.stats().pods_failed, 1);
         let events = c.drain_watch();
         assert!(events.iter().any(|e| e.kind == WatchKind::PodFailed));
         assert!(events

@@ -95,8 +95,6 @@ pub struct Pod {
     pub scheduled_at: Option<SimTime>,
     /// When containers started running.
     pub running_at: Option<SimTime>,
-    /// When the pod reached a terminal phase.
-    pub finished_at: Option<SimTime>,
     /// Whether this pod ever waited for a node (needed by HTA's init-time
     /// tracker: only pods that traversed *No Available Node* →
     /// *No Container Image* → *Running* measure a full initialization).
@@ -116,7 +114,6 @@ impl Pod {
             created_at,
             scheduled_at: None,
             running_at: None,
-            finished_at: None,
             waited_for_node: false,
             pulled_image: false,
         }

@@ -685,6 +685,12 @@ impl SystemDriver {
             }
         }
         self.pump(now);
+        if hta_des::sanitize::ACTIVE {
+            assert!(
+                self.cluster.check_invariants(),
+                "cluster invariants violated at {now:?}"
+            );
+        }
     }
 
     /// Admit every trace arrival that is due, then arm one wake-up for
@@ -1295,8 +1301,8 @@ impl SystemDriver {
                 self.queue.schedule_in(d, Event::Cluster(e));
             }
         }
-        for (&wid, _) in self.worker_to_pod.iter() {
-            self.master.drain_worker(now, wid);
+        for &wid in self.worker_to_pod.keys() {
+            self.master.drain_worker(wid);
         }
         if let Some(pod) = self.master_pod {
             for (d, e) in self.cluster.delete_pod(now, pod) {
@@ -1375,7 +1381,7 @@ impl SystemDriver {
                     action,
                     ctx.live_worker_pods,
                     ctx.pending_worker_pods,
-                    ctx.queue.waiting.len(),
+                    ctx.queue.waiting_total(),
                     ctx.init_time.as_secs_f64()
                 ),
             );
@@ -1430,7 +1436,7 @@ impl SystemDriver {
             .collect();
         candidates.sort();
         for (_tasks, wid) in candidates.into_iter().take(remaining) {
-            self.master.drain_worker(now, wid);
+            self.master.drain_worker(wid);
         }
     }
 
@@ -1453,10 +1459,7 @@ impl SystemDriver {
         let mut candidates: Vec<(usize, PodId)> = self
             .pod_to_worker
             .iter()
-            .filter_map(|(pod, wid)| {
-                let worker = self.master.worker(*wid)?;
-                (worker.state != WorkerState::Stopped).then_some((worker.task_count(), *pod))
-            })
+            .filter_map(|(pod, wid)| Some((self.master.worker(*wid)?.task_count(), *pod)))
             .collect();
         candidates.sort();
         for (_tasks, pod) in candidates.into_iter().take(remaining) {

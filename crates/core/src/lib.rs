@@ -79,6 +79,8 @@ pub mod operator;
 pub mod oracle;
 pub mod policy;
 pub mod recovery;
+#[cfg(test)]
+mod reference;
 pub mod target_tracking;
 pub mod whatif;
 

@@ -424,16 +424,7 @@ impl Operator {
             }
             // Upgrade already-queued waiting tasks of this category (e.g.
             // re-queued after a worker kill).
-            let waiting: Vec<TaskId> = master
-                .queue_status()
-                .waiting
-                .iter()
-                .filter(|w| w.cat == cat)
-                .map(|w| w.id)
-                .collect();
-            for t in waiting {
-                master.declare_resources(t, est.resources);
-            }
+            master.declare_category(cat, est.resources);
             if let Some(held) = self.held.remove(&cat) {
                 for job in held {
                     // Held jobs were marked submitted in the DAG; submit
@@ -564,16 +555,7 @@ impl Operator {
     pub fn replay_learn(&mut self, cat: CategoryId, resources: Resources, master: &mut Master) {
         self.learned.insert(cat, resources);
         self.probing.insert(cat, false);
-        let waiting: Vec<TaskId> = master
-            .queue_status()
-            .waiting
-            .iter()
-            .filter(|w| w.cat == cat)
-            .map(|w| w.id)
-            .collect();
-        for t in waiting {
-            master.declare_resources(t, resources);
-        }
+        master.declare_category(cat, resources);
     }
 
     /// Re-apply a logged completion acknowledgement (DAG unblock only;

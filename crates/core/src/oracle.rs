@@ -45,8 +45,30 @@ impl OraclePolicy {
         Self::new(map)
     }
 
-    fn requirement(&self, category: &str, fallback: Resources) -> Resources {
+    pub(crate) fn requirement(&self, category: &str, fallback: Resources) -> Resources {
         self.requirements.get(category).copied().unwrap_or(fallback)
+    }
+
+    /// The whole outstanding task set — waiting, running and held — with
+    /// true requirements, in packing order: the snapshot's FIFO prefix
+    /// task by task, then the backlog behind it by category (a queue
+    /// within the prefix packs exactly as a full FIFO walk would). The
+    /// oracle keeps its truth keyed by name (it comes from the workload
+    /// definition, before any interning) and resolves ids on the fly.
+    pub(crate) fn demands(&self, ctx: &PolicyContext<'_>) -> Vec<Resources> {
+        let mut demands: Vec<Resources> = Vec::new();
+        for (cat, _, count) in ctx.queue.waiting_counts() {
+            let req = self.requirement(ctx.interner.name(cat), ctx.worker_unit);
+            demands.extend(std::iter::repeat_n(req, count));
+        }
+        for r in ctx.queue.running.values() {
+            demands.push(self.requirement(ctx.interner.name(r.cat), r.allocation));
+        }
+        for (cat, count) in ctx.held_jobs {
+            let req = self.requirement(ctx.interner.name(*cat), ctx.worker_unit);
+            demands.extend(std::iter::repeat_n(req, *count));
+        }
+        demands
     }
 
     /// Pack a list of requirements into worker-unit bins (first-fit).
@@ -82,20 +104,7 @@ impl ScalingPolicy for OraclePolicy {
                 (ScaleAction::None, self.evaluate_every)
             };
         }
-        // The whole outstanding task set, with true requirements. The
-        // oracle keeps its truth keyed by name (it comes from the workload
-        // definition, before any interning) and resolves ids on the fly.
-        let mut demands: Vec<Resources> = Vec::new();
-        for w in &ctx.queue.waiting {
-            demands.push(self.requirement(ctx.interner.name(w.cat), ctx.worker_unit));
-        }
-        for r in ctx.queue.running.values() {
-            demands.push(self.requirement(ctx.interner.name(r.cat), r.allocation));
-        }
-        for (cat, count) in ctx.held_jobs {
-            let req = self.requirement(ctx.interner.name(*cat), ctx.worker_unit);
-            demands.extend(std::iter::repeat_n(req, *count));
-        }
+        let demands = self.demands(ctx);
         let desired = Self::bins_needed(&demands, ctx.worker_unit).min(ctx.max_workers);
         self.last_desired = desired;
         let live = ctx.live_worker_pods;

@@ -78,6 +78,21 @@ pub struct PolicyContext<'a> {
     pub telemetry_age: Duration,
 }
 
+impl PolicyContext<'_> {
+    /// The longest learned mean wall time over categories with waiting or
+    /// held jobs; zero when none of them has been measured yet.
+    pub fn max_pending_mean_wall(&self) -> Duration {
+        let waiting = self.queue.waiting_counts().map(|(cat, _, _)| cat);
+        let held = self.held_jobs.iter().map(|(cat, _)| *cat);
+        waiting
+            .chain(held)
+            .filter_map(|cat| self.stats.estimate(cat))
+            .map(|e| e.mean_wall)
+            .max()
+            .unwrap_or(Duration::ZERO)
+    }
+}
+
 /// A worker-pool scaling policy.
 pub trait ScalingPolicy {
     /// Policy name for reports.
@@ -139,15 +154,6 @@ pub struct HtaConfig {
     /// on a stale picture of the cluster — graceful degradation during a
     /// network partition rather than scale thrash.
     pub staleness_bound: Duration,
-    /// At most this many waiting tasks enter Algorithm 1's forward
-    /// simulation (its cost is quadratic in the input). The truncated
-    /// tail is not dropped: it is summarized into the estimator's
-    /// `overflow` groups, which suppress scale-down and size scale-up
-    /// arithmetically — so an open-loop backlog of hundreds of thousands
-    /// still saturates the decision at "scale out to the quota" while
-    /// each decision stays O(cap²). Every closed workflow workload
-    /// (queues of a few hundred) fits under the cap and is bit-exact.
-    pub estimator_queue_cap: usize,
 }
 
 impl Default for HtaConfig {
@@ -161,7 +167,6 @@ impl Default for HtaConfig {
             min_pool: 0,
             max_drain_per_cycle: usize::MAX,
             staleness_bound: Duration::from_secs(60),
-            estimator_queue_cap: 1024,
         }
     }
 }
@@ -183,7 +188,7 @@ impl HtaPolicy {
     }
 
     /// Build the estimator's view from the queue snapshot.
-    fn build_input(&self, ctx: &PolicyContext<'_>) -> EstimatorInput {
+    pub(crate) fn build_input(&self, ctx: &PolicyContext<'_>) -> EstimatorInput {
         let stats = ctx.stats;
         let default_exec = self.cfg.default_exec;
 
@@ -207,11 +212,13 @@ impl HtaPolicy {
             })
             .collect();
 
+        // The snapshot's FIFO prefix enters Algorithm 1's forward
+        // simulation (its cost is quadratic in the input, which the
+        // prefix bound keeps fixed at any backlog depth).
         let mut waiting: Vec<WaitingTask> = ctx
             .queue
             .waiting
             .iter()
-            .take(self.cfg.estimator_queue_cap)
             .map(|w| {
                 let est = stats.estimate(w.cat);
                 let resources = w
@@ -222,20 +229,19 @@ impl HtaPolicy {
                 WaitingTask { resources, exec }
             })
             .collect();
-        // Tasks past the cap stay out of the quadratic simulation but are
-        // still demand: group them by planned requirement so the
-        // estimator can size scale-up for them arithmetically. One linear
-        // pass over the snapshot at policy ticks only (the per-second
-        // sampler never walks the queue).
+        // The backlog behind the prefix is still demand: group the
+        // snapshot's tail counts by planned requirement so the estimator
+        // sizes scale-up for them arithmetically (it only sums the
+        // groups, so their order does not matter). O(distinct
+        // requirements), whatever the backlog depth.
         let mut overflow: Vec<(Resources, usize)> = Vec::new();
-        for w in ctx.queue.waiting.iter().skip(self.cfg.estimator_queue_cap) {
-            let resources = w
-                .declared
-                .or(stats.estimate(w.cat).map(|e| e.resources))
+        for &(cat, declared, count) in &ctx.queue.waiting_tail {
+            let resources = declared
+                .or(stats.estimate(cat).map(|e| e.resources))
                 .unwrap_or(ctx.worker_unit);
             match overflow.iter_mut().find(|(r, _)| *r == resources) {
-                Some((_, n)) => *n += 1,
-                None => overflow.push((resources, 1)),
+                Some((_, n)) => *n += count,
+                None => overflow.push((resources, count)),
             }
         }
         // Held jobs whose category is already measured are demand (they

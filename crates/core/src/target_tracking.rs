@@ -60,6 +60,12 @@ impl TargetTrackingPolicy {
             last_scale_in: None,
         }
     }
+
+    /// Queued work the controller tracks: every waiting task plus the
+    /// operator's held jobs.
+    pub(crate) fn backlog(ctx: &PolicyContext<'_>) -> usize {
+        ctx.queue.waiting_total() + ctx.held_jobs.iter().map(|(_, n)| *n).sum::<usize>()
+    }
 }
 
 impl ScalingPolicy for TargetTrackingPolicy {
@@ -82,8 +88,7 @@ impl ScalingPolicy for TargetTrackingPolicy {
                 (ScaleAction::None, self.cfg.sync_interval)
             };
         }
-        let backlog =
-            ctx.queue.waiting.len() + ctx.held_jobs.iter().map(|(_, n)| *n).sum::<usize>();
+        let backlog = Self::backlog(ctx);
         let live = ctx.live_worker_pods.max(1);
         let metric = backlog as f64 / live as f64;
         let raw = ((live as f64) * metric / self.cfg.target_backlog_per_worker).ceil() as usize;

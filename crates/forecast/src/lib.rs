@@ -401,17 +401,7 @@ impl MpcPolicy {
             // finish real work — a bare one-init-cycle horizon ends
             // exactly when created workers arrive, every scale-up looks
             // like pure cost, and the argmin degenerates to "drain".
-            let mut exec = Duration::ZERO;
-            for w in &ctx.queue.waiting {
-                if let Some(e) = ctx.stats.estimate(w.cat) {
-                    exec = exec.max(e.mean_wall);
-                }
-            }
-            for (cat, _) in ctx.held_jobs {
-                if let Some(e) = ctx.stats.estimate(*cat) {
-                    exec = exec.max(e.mean_wall);
-                }
-            }
+            let mut exec = ctx.max_pending_mean_wall();
             if exec == Duration::ZERO {
                 // No learned statistics yet (warm-up): assume a generous
                 // execution window rather than a myopic one.
@@ -462,7 +452,7 @@ impl ScalingPolicy for MpcPolicy {
                 "[mpc @{:.0}s] live={} waiting={} running={} horizon={:.0}s -> {:?}\n{}",
                 ctx.now.as_secs_f64(),
                 ctx.live_worker_pods,
-                ctx.queue.waiting.len(),
+                ctx.queue.waiting_total(),
                 ctx.queue.running.len(),
                 horizon.as_secs_f64(),
                 action,

@@ -31,7 +31,15 @@
 //! * the autoscaler's [`QueueStatus`] is maintained *incrementally* at
 //!   task/worker transitions instead of being rebuilt from scratch on
 //!   every poll ([`Master::queue_status`] only re-derives the waiting
-//!   view, and only when the queue actually changed).
+//!   view, and only when the queue actually changed). That view copies at
+//!   most [`WAITING_PREFIX`] tasks and summarises the rest of the backlog
+//!   by count, so a poll costs the same at any queue depth.
+//!
+//! State follows the live system, not its history: a worker's record is
+//! dropped the moment it stops ([`Master::drain_worker`]'s idle case,
+//! [`Master::kill_worker`], a drained worker's last task), together with
+//! its heartbeat and suspicion entries. Every lookup treats a missing
+//! worker as a stopped one; [`WorkerId`]s are never reused.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -310,6 +318,13 @@ pub struct WorkerSnapshot {
     pub tasks: usize,
 }
 
+/// Waiting tasks [`QueueStatus::waiting`] copies, in FIFO order. The
+/// backlog behind them reaches the autoscaler as per-requirement counts
+/// ([`QueueStatus::waiting_tail`]): Algorithm 1 forward-simulates only
+/// this many tasks (its cost is quadratic in them) and sizes the rest
+/// arithmetically, so a longer copy would buy nothing.
+pub const WAITING_PREFIX: usize = 1024;
+
 /// Per-category progress counters (see [`Master::category_summary`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CategorySummary {
@@ -329,17 +344,38 @@ pub struct CategorySummary {
 /// feedback input).
 ///
 /// Maintained incrementally by the master: `running` and `workers` are
-/// updated in place at every task/worker transition; `waiting` is a
-/// lazily rebuilt view of the FIFO queue (rebuilt only when the queue
-/// changed since the last poll).
+/// updated in place at every task/worker transition; the waiting view
+/// (`waiting` plus `waiting_tail`) is rebuilt lazily, only when the queue
+/// changed since the last poll, at a cost bounded by [`WAITING_PREFIX`].
 #[derive(Debug, Clone, Default)]
 pub struct QueueStatus {
-    /// Waiting tasks in FIFO order.
+    /// The first [`WAITING_PREFIX`] waiting tasks, in FIFO order.
     pub waiting: Vec<WaitingSnapshot>,
+    /// The waiting tasks behind `waiting`, as distinct
+    /// `(category, declared, count)` triples in no particular order.
+    pub waiting_tail: Vec<(CategoryId, Option<Resources>, usize)>,
     /// Tasks assigned to workers, keyed by task id.
     pub running: BTreeMap<TaskId, RunningSnapshot>,
     /// Active and draining workers, keyed by worker id.
     pub workers: BTreeMap<WorkerId, WorkerSnapshot>,
+}
+
+impl QueueStatus {
+    /// Every waiting task: the prefix plus the tail counts.
+    pub fn waiting_total(&self) -> usize {
+        self.waiting.len() + self.waiting_tail.iter().map(|(_, _, n)| n).sum::<usize>()
+    }
+
+    /// Every waiting task as `(category, declared, count)`: the prefix one
+    /// task at a time in FIFO order, then the tail triples.
+    pub fn waiting_counts(
+        &self,
+    ) -> impl Iterator<Item = (CategoryId, Option<Resources>, usize)> + '_ {
+        self.waiting
+            .iter()
+            .map(|w| (w.cat, w.declared, 1))
+            .chain(self.waiting_tail.iter().copied())
+    }
 }
 
 /// Per-category wall-time accumulator with a cached mean.
@@ -448,6 +484,10 @@ pub struct Master {
     wake_link: bool,
     /// Peer-link counterpart of `wake_link`.
     wake_peer: bool,
+    /// Route [`Master::dispatch`] through the naive reference scan
+    /// (differential tests only).
+    #[cfg(test)]
+    naive_dispatch: bool,
 }
 
 /// SplitMix64 finalizer: spreads sequential task ids over the whole u64
@@ -514,6 +554,8 @@ impl Master {
             lease_check_armed: false,
             wake_link: false,
             wake_peer: false,
+            #[cfg(test)]
+            naive_dispatch: false,
         }
     }
 
@@ -578,6 +620,26 @@ impl Master {
         }
     }
 
+    /// Apply a learned requirement to every waiting task of `cat`, in FIFO
+    /// order — [`declare_resources`](Self::declare_resources) for the whole
+    /// category, walking the queue in place instead of copying it.
+    pub fn declare_category(&mut self, cat: CategoryId, declared: Resources) {
+        self.mwu_cache.set(None);
+        for i in 0..self.waiting.len() {
+            let Some(rec) = self.tasks.get_mut(&self.waiting[i]) else {
+                continue;
+            };
+            if rec.cat != cat || rec.state != TaskState::Waiting {
+                continue;
+            }
+            let old = rec.spec.declared;
+            rec.spec.declared = Some(declared);
+            self.waiting_dirty = true;
+            self.demand_dec(cat, old);
+            self.demand_inc(cat, Some(declared));
+        }
+    }
+
     /// A new worker connected with the given capacity.
     pub fn worker_connect(
         &mut self,
@@ -609,19 +671,17 @@ impl Master {
 
     /// Gracefully drain a worker: no new tasks; stops when empty. Idle
     /// workers stop immediately (notification emitted).
-    pub fn drain_worker(&mut self, now: SimTime, id: WorkerId) {
+    pub fn drain_worker(&mut self, id: WorkerId) {
         self.mwu_cache.set(None);
         let Some(w) = self.workers.get_mut(&id) else {
             return;
         };
-        if w.state == WorkerState::Stopped {
-            return;
-        }
         if w.drain() {
-            w.stop(now);
+            self.stop_worker(id);
             self.notifications.push(WqNotification::WorkerStopped(id));
+        } else {
+            self.refresh_worker_snap(id);
         }
-        self.refresh_worker_snap(id);
         self.assert_invariants();
     }
 
@@ -629,18 +689,12 @@ impl Master {
     /// at the front, transfers cancelled, cache lost.
     pub fn kill_worker(&mut self, now: SimTime, id: WorkerId, fx: &mut EffectSink<WqEvent>) {
         self.mwu_cache.set(None);
-        let Some(w) = self.workers.get_mut(&id) else {
-            return;
-        };
-        if w.state == WorkerState::Stopped {
+        if !self.workers.contains_key(&id) {
             return;
         }
-        let orphans = w.stop(now);
-        self.refresh_worker_snap(id);
-        self.last_heartbeat.remove(&id);
-        self.suspects.remove(&id);
+        let orphans = self.stop_worker(id);
         // Cancel any flows serving the orphaned tasks (the worker's cache
-        // and in-flight markers are already gone with `stop`).
+        // and in-flight markers went with its record).
         let stale: Vec<FlowId> = self
             .flows
             .iter()
@@ -770,18 +824,12 @@ impl Master {
         self.waiting_dirty = true;
         let wids: Vec<WorkerId> = self.workers.keys().copied().collect();
         for w in wids {
-            if let Some(worker) = self.workers.get_mut(&w) {
-                if worker.state != WorkerState::Stopped {
-                    let _ = worker.stop(now);
-                }
-            }
-            self.refresh_worker_snap(w);
+            self.stop_worker(w);
         }
-        // Liveness state dies with the old incarnation: the pending
+        // Liveness state dies with the old incarnation (the heartbeat and
+        // suspicion entries went with the worker records): the pending
         // LeaseCheck/HeartbeatTick events are incarnation-fenced by the
         // driver, so re-adopted workers re-arm everything from scratch.
-        self.last_heartbeat.clear();
-        self.suspects.clear();
         self.lease_check_armed = false;
         self.notifications.clear();
         self.assert_invariants();
@@ -880,6 +928,10 @@ impl Master {
     ///   over-allocated.
     /// * **Interner stability** — category ids stay dense and resolve
     ///   to distinct names.
+    /// * **Bounded worker state** — `workers` holds live workers only
+    ///   (a stopped worker's record is dropped, so no `Stopped` state
+    ///   exists), its key set equals the snapshot's, and the heartbeat and
+    ///   suspicion maps are keyed by a subset of it.
     pub fn assert_invariants(&self) {
         if !hta_des::sanitize::ACTIVE {
             return;
@@ -954,6 +1006,18 @@ impl Master {
                 "worker {:?} over-allocated: available {free:?} of capacity {:?}",
                 w.id,
                 w.capacity()
+            );
+        }
+        assert!(
+            self.workers.keys().eq(self.snap.workers.keys()),
+            "worker table {:?} and snapshot {:?} disagree on the live pool",
+            self.workers.keys().collect::<Vec<_>>(),
+            self.snap.workers.keys().collect::<Vec<_>>()
+        );
+        for w in self.last_heartbeat.keys().chain(self.suspects.iter()) {
+            assert!(
+                self.workers.contains_key(w),
+                "liveness state kept for stopped worker {w:?}"
             );
         }
         let mut seen_cats = 0usize;
@@ -1175,11 +1239,7 @@ impl Master {
     /// worker was cut off, not dead). Re-adopting a suspect re-triggers
     /// dispatch — its re-queued tasks may have nowhere else to go.
     fn recv_heartbeat(&mut self, now: SimTime, worker: WorkerId, fx: &mut EffectSink<WqEvent>) {
-        let live = self
-            .workers
-            .get(&worker)
-            .is_some_and(|w| w.state != WorkerState::Stopped);
-        if !live {
+        if !self.workers.contains_key(&worker) {
             return;
         }
         self.last_heartbeat.insert(worker, now);
@@ -1257,11 +1317,7 @@ impl Master {
     /// dead worker that is merely partitioned keeps beating — its first
     /// heartbeat to survive the network clears the suspicion.)
     fn heartbeat_tick(&mut self, now: SimTime, worker: WorkerId, fx: &mut EffectSink<WqEvent>) {
-        let live = self
-            .workers
-            .get(&worker)
-            .is_some_and(|w| w.state != WorkerState::Stopped);
-        if !live || !self.liveness_on() {
+        if !self.workers.contains_key(&worker) || !self.liveness_on() {
             return;
         }
         let _ = self.route_ctl(now, ChanDir::Reverse, ControlMsg::Heartbeat { worker }, fx);
@@ -1284,21 +1340,6 @@ impl Master {
         for wid in expired {
             self.presume_dead(now, wid, fx);
         }
-        // Prune entries of workers that stopped gracefully meanwhile.
-        let gone: Vec<WorkerId> = self
-            .last_heartbeat
-            .keys()
-            .filter(|w| {
-                self.workers
-                    .get(w)
-                    .is_none_or(|wk| wk.state == WorkerState::Stopped)
-            })
-            .copied()
-            .collect();
-        for w in gone {
-            self.last_heartbeat.remove(&w);
-            self.suspects.remove(&w);
-        }
         fx.push(self.lease_scan_interval(), WqEvent::LeaseCheck);
     }
 
@@ -1311,11 +1352,7 @@ impl Master {
     /// re-adopted with its files still warm.
     fn presume_dead(&mut self, now: SimTime, wid: WorkerId, fx: &mut EffectSink<WqEvent>) {
         self.mwu_cache.set(None);
-        let live = self
-            .workers
-            .get(&wid)
-            .is_some_and(|w| w.state != WorkerState::Stopped);
-        if !live {
+        if !self.workers.contains_key(&wid) {
             return;
         }
         self.leases_expired += 1;
@@ -1445,7 +1482,7 @@ impl Master {
         self.notifications
             .push(WqNotification::TaskFastAborted(task));
         self.refresh_task_snap(task);
-        self.release_from_worker(now, wid, task);
+        self.release_from_worker(wid, task);
         self.dispatch(now, fx);
     }
 
@@ -1610,12 +1647,7 @@ impl Master {
         // The failed attempt's duplicate (if any) is pointless now: the
         // retry restarts from scratch anyway.
         self.cancel_speculation(now, task);
-        let largest_mem = self
-            .workers
-            .values()
-            .filter(|w| w.state != WorkerState::Stopped)
-            .map(|w| w.capacity().memory_mb)
-            .max();
+        let largest_mem = self.workers.values().map(|w| w.capacity().memory_mb).max();
         let rec = self.tasks.get_mut(&task).expect("checked above");
         let wall = rec.started_at.map_or(Duration::ZERO, |s| now.since(s));
         let cores = rec.allocation.unwrap_or(rec.spec.actual).cores_f64();
@@ -1661,7 +1693,7 @@ impl Master {
             self.waiting_dirty = true;
         }
         self.refresh_task_snap(task);
-        self.release_from_worker(now, wid, task);
+        self.release_from_worker(wid, task);
         self.dispatch(now, fx);
     }
 
@@ -1755,7 +1787,7 @@ impl Master {
         self.refresh_task_snap(task);
         self.fault_stats.wasted_core_s += wasted_core_s;
         self.fault_stats.speculative_wins += 1;
-        self.release_from_worker(now, primary_wid, task);
+        self.release_from_worker(primary_wid, task);
         self.task_finished(now, task, new_gen, fx);
     }
 
@@ -1773,20 +1805,36 @@ impl Master {
             (sp, cores * now.since(sp.started_at).as_secs_f64())
         };
         self.fault_stats.wasted_core_s += wasted_core_s;
-        self.release_from_worker(now, sp.worker, task);
+        self.release_from_worker(sp.worker, task);
     }
 
     /// Remove a task from a worker, stopping the worker if it was
     /// draining and is now idle.
-    fn release_from_worker(&mut self, now: SimTime, wid: WorkerId, task: TaskId) {
-        if let Some(w) = self.workers.get_mut(&wid) {
-            w.remove_task(task);
-            if w.state == WorkerState::Draining && w.is_idle() {
-                w.stop(now);
-                self.notifications.push(WqNotification::WorkerStopped(wid));
-            }
+    fn release_from_worker(&mut self, wid: WorkerId, task: TaskId) {
+        let Some(w) = self.workers.get_mut(&wid) else {
+            return;
+        };
+        w.remove_task(task);
+        if w.state == WorkerState::Draining && w.is_idle() {
+            self.stop_worker(wid);
+            self.notifications.push(WqNotification::WorkerStopped(wid));
+        } else {
             self.refresh_worker_snap(wid);
         }
+    }
+
+    /// Drop a stopping worker's record together with its snapshot,
+    /// heartbeat and suspicion entries, returning the tasks it still held.
+    /// The one place a worker leaves the table, which keeps every map
+    /// keyed by worker bounded by the live pool.
+    fn stop_worker(&mut self, wid: WorkerId) -> Vec<TaskId> {
+        self.snap.workers.remove(&wid);
+        self.last_heartbeat.remove(&wid);
+        self.suspects.remove(&wid);
+        self.workers
+            .remove(&wid)
+            .map(Worker::into_tasks)
+            .unwrap_or_default()
     }
 
     fn task_finished(
@@ -1862,14 +1910,7 @@ impl Master {
             measured,
         });
         self.refresh_task_snap(task);
-        if let Some(w) = self.workers.get_mut(&wid) {
-            w.remove_task(task);
-            if w.state == WorkerState::Draining && w.is_idle() {
-                w.stop(now);
-                self.notifications.push(WqNotification::WorkerStopped(wid));
-            }
-            self.refresh_worker_snap(wid);
-        }
+        self.release_from_worker(wid, task);
         if self.retire_completed {
             self.retire_task(task, cat);
         }
@@ -1897,7 +1938,6 @@ impl Master {
         self.cat_retired[cat.index()] += 1;
     }
 
-    /// First-fit FIFO dispatch of waiting tasks onto workers.
     /// Count one waiting task's (category, declared requirement) into
     /// the demand histogram. Every `waiting.push_*` site must pair with
     /// this.
@@ -1953,7 +1993,12 @@ impl Master {
         })
     }
 
+    /// First-fit FIFO dispatch of waiting tasks onto workers.
     fn dispatch(&mut self, now: SimTime, fx: &mut EffectSink<WqEvent>) {
+        #[cfg(test)]
+        if self.naive_dispatch {
+            return self.dispatch_naive(now, fx);
+        }
         if self.waiting.is_empty() {
             return;
         }
@@ -1987,7 +2032,6 @@ impl Master {
                 continue;
             }
             let declared = rec.spec.declared;
-            let cat = rec.cat;
             let feasible = match declared {
                 Some(req) => req.fits_in(&max_free),
                 None => any_idle,
@@ -2013,40 +2057,10 @@ impl Master {
                 continue;
             };
             changed = true;
-            self.demand_dec(cat, declared);
-            {
-                let worker = self.workers.get_mut(&wid).expect("worker exists");
-                match declared {
-                    Some(req) => worker.assign(tid, req),
-                    None => worker.assign_exclusive(tid),
-                }
-            }
-            self.refresh_worker_snap(wid);
+            self.place(now, tid, wid, allocation, fx);
             // The placement shrank this worker's free pool; re-derive the
             // gate so it stays a sound upper bound.
             (max_free, any_idle) = self.dispatch_headroom();
-            self.net_seq += 1;
-            let seq = self.net_seq;
-            let rec = self.tasks.get_mut(&tid).expect("task exists");
-            rec.state = TaskState::Staging(wid);
-            rec.allocation = Some(allocation);
-            rec.dispatch_seq = seq;
-            rec.dispatch_acked = false;
-            self.refresh_task_snap(tid);
-            // The dispatch decision crosses the control channel: inline
-            // (and byte-identical to a direct call) when the transport is
-            // fault-free, otherwise subject to delay/loss/partition with
-            // the at-least-once retransmit loop below backing it up.
-            let _ = self.route_ctl(
-                now,
-                ChanDir::Forward,
-                ControlMsg::Dispatch { task: tid, seq },
-                fx,
-            );
-            if self.net.cfg().transport_active() {
-                let d = self.net.retry_delay(0);
-                fx.push(d, WqEvent::DispatchTimeout(tid, seq, 0));
-            }
         }
         // Reassemble the queue as rejected-entries-then-unscanned-tail
         // (both already in submission order, so FIFO is preserved), moving
@@ -2062,6 +2076,98 @@ impl Master {
             std::mem::swap(&mut self.waiting, &mut leftover);
         }
         self.dispatch_scratch = leftover;
+        if changed {
+            self.waiting_dirty = true;
+        }
+        self.flush_wakes(fx);
+    }
+
+    /// Commit one placement: assign waiting task `tid` to worker `wid`
+    /// and send the dispatch across the control channel.
+    fn place(
+        &mut self,
+        now: SimTime,
+        tid: TaskId,
+        wid: WorkerId,
+        allocation: Resources,
+        fx: &mut EffectSink<WqEvent>,
+    ) {
+        let (cat, declared) = {
+            let rec = &self.tasks[&tid];
+            (rec.cat, rec.spec.declared)
+        };
+        self.demand_dec(cat, declared);
+        {
+            let worker = self.workers.get_mut(&wid).expect("worker exists");
+            match declared {
+                Some(req) => worker.assign(tid, req),
+                None => worker.assign_exclusive(tid),
+            }
+        }
+        self.refresh_worker_snap(wid);
+        self.net_seq += 1;
+        let seq = self.net_seq;
+        let rec = self.tasks.get_mut(&tid).expect("task exists");
+        rec.state = TaskState::Staging(wid);
+        rec.allocation = Some(allocation);
+        rec.dispatch_seq = seq;
+        rec.dispatch_acked = false;
+        self.refresh_task_snap(tid);
+        // The dispatch decision crosses the control channel: inline
+        // (and byte-identical to a direct call) when the transport is
+        // fault-free, otherwise subject to delay/loss/partition with
+        // the at-least-once retransmit loop below backing it up.
+        let _ = self.route_ctl(
+            now,
+            ChanDir::Forward,
+            ControlMsg::Dispatch { task: tid, seq },
+            fx,
+        );
+        if self.net.cfg().transport_active() {
+            let d = self.net.retry_delay(0);
+            fx.push(d, WqEvent::DispatchTimeout(tid, seq, 0));
+        }
+    }
+
+    /// Reference for [`dispatch`](Self::dispatch): scan the whole queue
+    /// with no admission gate and no early exit, placing each task first-
+    /// fit over every worker id ever issued in ascending order — the
+    /// never-evicting table, where a missing record is a stopped worker.
+    #[cfg(test)]
+    fn dispatch_naive(&mut self, now: SimTime, fx: &mut EffectSink<WqEvent>) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        self.link.advance(now);
+        let mut changed = false;
+        for tid in std::mem::take(&mut self.waiting) {
+            let Some(declared) = self
+                .tasks
+                .get(&tid)
+                .filter(|r| r.state == TaskState::Waiting)
+                .map(|r| r.spec.declared)
+            else {
+                changed = true;
+                continue;
+            };
+            let target = (0..self.next_worker)
+                .filter_map(|id| self.workers.get(&WorkerId(id)))
+                .find(|w| {
+                    !self.suspects.contains(&w.id)
+                        && match declared {
+                            Some(req) => w.can_accept(&req),
+                            None => w.can_accept_exclusive(),
+                        }
+                })
+                .map(|w| (w.id, declared.unwrap_or(w.capacity())));
+            match target {
+                Some((wid, allocation)) => {
+                    changed = true;
+                    self.place(now, tid, wid, allocation, fx);
+                }
+                None => self.waiting.push_back(tid),
+            }
+        }
         if changed {
             self.waiting_dirty = true;
         }
@@ -2113,7 +2219,7 @@ impl Master {
                 let held_elsewhere = self
                     .workers
                     .values()
-                    .any(|w| w.id != wid && w.state != WorkerState::Stopped && w.has_cached(*f));
+                    .any(|w| w.id != wid && w.has_cached(*f));
                 if held_elsewhere {
                     peer_fetches.push((*f, spec.size_mb));
                     continue;
@@ -2234,48 +2340,47 @@ impl Master {
         }
     }
 
-    /// Re-derive one worker's entry in the snapshot (removed once
-    /// stopped). Called whenever its state, load, or task count changes.
+    /// Re-derive one worker's entry in the snapshot. Called whenever its
+    /// state, load, or task count changes ([`stop_worker`](Self::stop_worker)
+    /// removes it).
     fn refresh_worker_snap(&mut self, wid: WorkerId) {
-        let entry = self
-            .workers
-            .get(&wid)
-            .filter(|w| w.state != WorkerState::Stopped)
-            .map(|w| WorkerSnapshot {
+        if let Some(w) = self.workers.get(&wid) {
+            let entry = WorkerSnapshot {
                 id: w.id,
                 capacity: w.capacity(),
                 available: w.pool.available(),
                 state: w.state,
                 tasks: w.task_count(),
-            });
-        match entry {
-            Some(s) => {
-                self.snap.workers.insert(wid, s);
-            }
-            None => {
-                self.snap.workers.remove(&wid);
-            }
+            };
+            self.snap.workers.insert(wid, entry);
         }
     }
 
     /// Bring the waiting view of the snapshot up to date (the running and
-    /// worker views are always current). Cheap when nothing changed.
+    /// worker views are always current). Cheap when nothing changed, and
+    /// bounded otherwise: the first [`WAITING_PREFIX`] tasks are copied and
+    /// the rest of the queue is the demand histogram minus that prefix.
     pub fn refresh_queue_status(&mut self) {
         if !self.waiting_dirty {
             return;
         }
         self.waiting_dirty = false;
-        self.snap.waiting.clear();
-        self.snap.waiting.reserve(self.waiting.len());
-        for t in &self.waiting {
-            if let Some(r) = self.tasks.get(t) {
-                self.snap.waiting.push(WaitingSnapshot {
-                    id: r.spec.id,
-                    cat: r.cat,
-                    declared: r.spec.declared,
-                });
+        let mut prefix = std::mem::take(&mut self.snap.waiting);
+        prefix.clear();
+        prefix.extend(self.waiting_tasks().take(WAITING_PREFIX));
+        let tail = &mut self.snap.waiting_tail;
+        tail.clear();
+        tail.extend_from_slice(&self.waiting_demand);
+        for w in &prefix {
+            if let Some(slot) = tail
+                .iter_mut()
+                .find(|(c, d, _)| *c == w.cat && *d == w.declared)
+            {
+                slot.2 -= 1;
             }
         }
+        tail.retain(|(_, _, n)| *n > 0);
+        self.snap.waiting = prefix;
     }
 
     // ------------------------------------------------------------------
@@ -2285,6 +2390,19 @@ impl Master {
     /// Number of waiting tasks.
     pub fn waiting_count(&self) -> usize {
         self.waiting.len()
+    }
+
+    /// Waiting tasks in FIFO order, read lazily from the queue (the
+    /// autoscaler reads the bounded [`QueueStatus`] view built from it).
+    pub fn waiting_tasks(&self) -> impl Iterator<Item = WaitingSnapshot> + '_ {
+        self.waiting
+            .iter()
+            .filter_map(|t| self.tasks.get(t))
+            .map(|r| WaitingSnapshot {
+                id: r.spec.id,
+                cat: r.cat,
+                declared: r.spec.declared,
+            })
     }
 
     /// Number of tasks assigned to workers (staging/running/returning).
@@ -2355,7 +2473,7 @@ impl Master {
             .any(|r| r.cat == cat && !matches!(r.state, TaskState::Complete | TaskState::Failed))
     }
 
-    /// A worker.
+    /// A live worker (`None` once it has stopped).
     pub fn worker(&self, id: WorkerId) -> Option<&Worker> {
         self.workers.get(&id)
     }
@@ -2402,15 +2520,11 @@ impl Master {
         if let Some(cached) = self.mwu_cache.get() {
             return cached;
         }
-        let mut live = 0usize;
         let mut sum = 0.0;
         for w in self.workers.values() {
-            if w.state == WorkerState::Stopped {
-                continue;
-            }
-            live += 1;
             sum += w.utilization(self.worker_busy_cores(w.id));
         }
+        let live = self.workers.len();
         let mean = if live == 0 {
             None
         } else {
@@ -2454,9 +2568,6 @@ impl Master {
             self.link.active_flows(),
         );
         for w in self.workers.values() {
-            if w.state == WorkerState::Stopped {
-                continue;
-            }
             let _ = writeln!(
                 out,
                 "  {:<10} {:<9} {} tasks, used {} / {}",
@@ -2527,6 +2638,9 @@ impl Master {
         &self.snap
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -2735,7 +2849,7 @@ mod tests {
             &mut fx,
         );
         sched(&mut q, &mut fx);
-        m.drain_worker(SimTime::ZERO, w);
+        m.drain_worker(w);
         run(&mut m, &mut q, &mut fx, 200);
         assert!(m.all_complete(), "running task finished despite drain");
         let notes = m.drain_notifications();
@@ -2749,9 +2863,41 @@ mod tests {
         let mut m = Master::new(link_cfg(), cat);
         let mut fx = EffectSink::new();
         let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 0, 0), &mut fx);
-        m.drain_worker(SimTime::from_secs(1), w);
+        m.drain_worker(w);
         let notes = m.drain_notifications();
         assert!(notes.contains(&WqNotification::WorkerStopped(w)));
+    }
+
+    #[test]
+    fn stopped_workers_leave_the_table() {
+        let (cat, _db) = catalog_with_db();
+        let cfg = MasterConfig {
+            net: NetworkFaults {
+                lease: Duration::from_secs(30),
+                ..NetworkFaults::default()
+            },
+            ..link_cfg()
+        };
+        let mut m = Master::new(cfg, cat);
+        let mut fx = EffectSink::new();
+        let ids: Vec<WorkerId> = (0..3)
+            .map(|_| m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx))
+            .collect();
+        m.suspects.insert(ids[2]);
+        m.drain_worker(ids[0]);
+        m.kill_worker(SimTime::from_secs(1), ids[2], &mut fx);
+        assert!(m.worker(ids[0]).is_none() && m.worker(ids[2]).is_none());
+        assert_eq!(m.workers.keys().copied().collect::<Vec<_>>(), vec![ids[1]]);
+        assert_eq!(m.last_heartbeat.len(), 1, "liveness state leaves too");
+        assert!(m.suspects.is_empty());
+        assert_eq!(m.connected_workers(), 1);
+        // Ids are never reused: the next worker gets a fresh one.
+        let w = m.worker_connect(
+            SimTime::from_secs(2),
+            Resources::cores(4, 16_000, 50_000),
+            &mut fx,
+        );
+        assert_eq!(w, WorkerId(3));
     }
 
     #[test]
@@ -3353,6 +3499,20 @@ mod tests {
         m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
         // A task id queued twice (double-requeue bug) must be caught.
         m.waiting.push_back(TaskId(0));
+        m.assert_invariants();
+    }
+
+    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
+    #[test]
+    #[should_panic(expected = "liveness state kept for stopped worker")]
+    fn sanitizer_catches_liveness_state_outliving_its_worker() {
+        let (cat, _db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut fx = EffectSink::new();
+        let w = m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx);
+        m.drain_worker(w);
+        // A stop path that forgot the heartbeat map must be caught.
+        m.last_heartbeat.insert(w, SimTime::ZERO);
         m.assert_invariants();
     }
 

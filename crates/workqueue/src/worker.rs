@@ -10,6 +10,9 @@
 //! * **Kill** — the eviction path taken when the HPA deletes the pod under
 //!   the worker: running tasks are interrupted and must be re-queued, and
 //!   the cache is lost.
+//!
+//! Either way the master drops the record the moment the worker stops
+//! ([`Worker::into_tasks`]), so its worker table holds live workers only.
 
 use hta_des::SimTime;
 use hta_resources::{ResourcePool, Resources};
@@ -23,8 +26,6 @@ pub enum WorkerState {
     Active,
     /// Finishing running tasks; no new dispatches.
     Draining,
-    /// Gone (drained to empty, or killed).
-    Stopped,
 }
 
 /// One connected worker.
@@ -46,8 +47,6 @@ pub struct Worker {
     tasks: Vec<TaskId>,
     /// When the worker connected.
     pub connected_at: SimTime,
-    /// When the worker stopped.
-    pub stopped_at: Option<SimTime>,
     /// Whether the scheduler may co-schedule tasks (true) or must give the
     /// whole worker to one unknown-resources task (false only while such a
     /// task occupies it).
@@ -65,7 +64,6 @@ impl Worker {
             inflight: Vec::new(),
             tasks: Vec::new(),
             connected_at: now,
-            stopped_at: None,
             exclusive_task: None,
         }
     }
@@ -172,15 +170,11 @@ impl Worker {
         self.is_idle()
     }
 
-    /// Final stop (drained empty or killed). Clears allocations and cache.
-    pub fn stop(&mut self, now: SimTime) -> Vec<TaskId> {
-        self.state = WorkerState::Stopped;
-        self.stopped_at = Some(now);
-        self.pool.clear();
-        self.cache.clear();
-        self.inflight.clear();
-        self.exclusive_task = None;
-        std::mem::take(&mut self.tasks)
+    /// Final stop (drained empty or killed): the record is consumed —
+    /// allocations and cache go with it — and the tasks it still held are
+    /// returned for re-queueing.
+    pub fn into_tasks(self) -> Vec<TaskId> {
+        self.tasks
     }
 
     /// CPU utilization this worker reports to the metrics server:
@@ -244,21 +238,16 @@ mod tests {
         assert!(!w.can_accept(&Resources::cores(1, 0, 0)));
         w.remove_task(TaskId(1));
         assert!(w.is_idle());
-        let orphans = w.stop(SimTime::from_secs(5));
-        assert!(orphans.is_empty());
-        assert_eq!(w.state, WorkerState::Stopped);
+        assert!(w.into_tasks().is_empty());
     }
 
     #[test]
-    fn kill_returns_orphans_and_clears_cache() {
+    fn kill_returns_orphans() {
         let mut w = worker();
         w.cache_file(FileId(0));
         w.assign(TaskId(1), Resources::cores(1, 0, 0));
         w.assign(TaskId(2), Resources::cores(1, 0, 0));
-        let orphans = w.stop(SimTime::from_secs(9));
-        assert_eq!(orphans, vec![TaskId(1), TaskId(2)]);
-        assert!(!w.has_cached(FileId(0)));
-        assert!(w.pool.is_empty());
+        assert_eq!(w.into_tasks(), vec![TaskId(1), TaskId(2)]);
     }
 
     #[test]

@@ -30,7 +30,8 @@ impl ScalingPolicy for GreedyPolicy {
     }
 
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> (ScaleAction, Duration) {
-        let waiting = ctx.queue.waiting.len() + ctx.held_jobs.iter().map(|(_, n)| n).sum::<usize>();
+        let waiting =
+            ctx.queue.waiting_total() + ctx.held_jobs.iter().map(|(_, n)| n).sum::<usize>();
         let want = waiting.min(ctx.max_workers);
         self.desired = want.max(ctx.live_worker_pods);
         let action = if want > ctx.live_worker_pods {

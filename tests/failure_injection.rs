@@ -129,3 +129,58 @@ fn master_node_crash_restarts_master_via_statefulset() {
     // crash: the makespan extends past the failure instant.
     assert!(r.makespan_s > 400.0);
 }
+
+#[test]
+fn churny_trace_under_heavy_faults_conserves_tasks() {
+    // Soak: an open trace whose diurnal, bursty load makes HTA grow and
+    // shrink the pool, under every fault class at once (node faults,
+    // image-pull failures, task failures, stragglers, a control-plane
+    // crash, a lossy channel with a partition). In debug builds the
+    // sanitizer checks after every event that the master's worker maps
+    // and the cluster's pod table hold live objects only.
+    let seed = 11;
+    let mut cfg = DriverConfig {
+        cluster: ClusterConfig {
+            machine: MachineType::n1_standard_4(),
+            min_nodes: 2,
+            max_nodes: 12,
+            node_idle_timeout: Duration::from_secs(60),
+            seed,
+            ..ClusterConfig::default()
+        },
+        operator: OperatorConfig {
+            warmup: false,
+            trust_declared: true,
+            learn: true,
+            seed,
+        },
+        initial_workers: 2,
+        max_workers: 10,
+        faults: hta::core::FaultPlan::heavy(seed),
+        ..DriverConfig::default()
+    };
+    cfg.master.retire_completed = true;
+    let source = hta::trace::ArrivalSource::synth("trace-50k,tasks=4000,rate=1", seed)
+        .expect("valid synth spec");
+    let r =
+        SystemDriver::new_traced(cfg, source, Box::new(HtaPolicy::new(HtaConfig::default()))).run();
+    assert!(!r.timed_out, "the soak run must finish");
+    let arrivals = r.arrivals.expect("traced run reports arrivals");
+    assert!(arrivals.exhausted);
+    assert_eq!(arrivals.submitted, 4_000);
+    // Conservation: every arrival ended exactly once, completed or
+    // permanently failed.
+    assert_eq!(
+        r.completed as u64 + r.task_faults.permanent_failures,
+        arrivals.submitted,
+        "completed {} + failed {} != submitted {}",
+        r.completed,
+        r.task_faults.permanent_failures,
+        arrivals.submitted
+    );
+    assert!(
+        r.summary.peak_workers >= 4.0,
+        "the pool must actually churn (peak {})",
+        r.summary.peak_workers
+    );
+}
