@@ -1048,7 +1048,7 @@ impl SystemDriver {
             .recovery
             .as_mut()
             .expect("checkpointing without control-plane faults");
-        rs.checkpoint = Some(Checkpoint::take(&state, now));
+        rs.checkpoint = Some(Checkpoint::take(state, now));
         rs.wal.truncate();
     }
 

@@ -4,9 +4,11 @@
 //! capability with partitioned RNG streams. Crash recovery layers two small
 //! containers on top of it:
 //!
-//! * [`Checkpoint`] — a point-in-time snapshot of a component (taken with
-//!   `fork(0)`, i.e. an exact-replay clone) stamped with the sim instant it
-//!   was captured at.
+//! * [`Checkpoint`] — a point-in-time snapshot of a component stamped
+//!   with the sim instant it was captured at. It owns the state it was
+//!   handed (the caller's one clone of the live component, with its RNG
+//!   streams unsalted), so taking it copies nothing more; each restore is
+//!   an exact-replay `fork(0)` of it.
 //! * [`Wal`] — an in-memory write-ahead log of *decision records* appended
 //!   since the last checkpoint. Recovery restores the checkpoint and then
 //!   re-applies the log in order.
@@ -35,10 +37,12 @@ pub struct Checkpoint<S: SnapshotState> {
 }
 
 impl<S: SnapshotState> Checkpoint<S> {
-    /// Capture `state` at sim instant `at` (an exact-replay fork).
-    pub fn take(state: &S, at: SimTime) -> Self {
+    /// Capture `state` at sim instant `at`. The checkpoint keeps the
+    /// value it is given — pass a clone of the live component, which is
+    /// exactly what a `fork(0)` would have made.
+    pub fn take(state: S, at: SimTime) -> Self {
         Checkpoint {
-            state: state.fork(0),
+            state,
             taken_at: at,
         }
     }
@@ -150,7 +154,7 @@ mod tests {
             rng: SimRng::seed_from_u64(7),
             value: 10,
         };
-        let cp = Checkpoint::take(&c, SimTime::from_secs(30));
+        let cp = Checkpoint::take(c.clone(), SimTime::from_secs(30));
         c.value = 99;
         let restored = cp.restore();
         assert_eq!(c.value, 99, "mutating the live state is visible there");
@@ -164,9 +168,9 @@ mod tests {
             rng: SimRng::seed_from_u64(7),
             value: 0,
         };
-        let cp = Checkpoint::take(&c, SimTime::ZERO);
+        let cp = Checkpoint::take(c.clone(), SimTime::ZERO);
         let mut a = cp.restore();
-        let mut b = c.clone();
+        let mut b = c;
         for _ in 0..16 {
             assert_eq!(a.rng.uniform().to_bits(), b.rng.uniform().to_bits());
         }
@@ -178,7 +182,7 @@ mod tests {
             rng: SimRng::seed_from_u64(3),
             value: 5,
         };
-        let cp = Checkpoint::take(&c, SimTime::ZERO);
+        let cp = Checkpoint::take(c, SimTime::ZERO);
         let mut first = cp.restore();
         let mut second = cp.restore();
         assert_eq!(first.value, second.value);

@@ -389,6 +389,16 @@ struct CatWall {
     mean: Duration,
 }
 
+/// One worker that may take new work, as [`Master::dispatch`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FreeWorker {
+    id: WorkerId,
+    /// `pool.available()`: what a declared-resources task may claim.
+    free: Resources,
+    /// No task assigned: an exclusive (unknown-resources) task may take it.
+    idle: bool,
+}
+
 /// The master state machine.
 #[derive(Debug, Clone)]
 pub struct Master {
@@ -467,6 +477,12 @@ pub struct Master {
     /// Workers presumed dead after a missed lease; skipped by placement
     /// until a fresh heartbeat clears the suspicion.
     suspects: BTreeSet<WorkerId>,
+    /// The workers that may take new work — `Active`, holding no
+    /// exclusive task and not in `suspects` — in ascending `WorkerId`.
+    /// Dispatch's admission gate folds it and first-fit walks it, so
+    /// neither touches the worker map. Written only by
+    /// [`refresh_free`](Master::refresh_free).
+    free_workers: Vec<FreeWorker>,
     /// When worker telemetry (heartbeats, connections) last arrived;
     /// drives the autoscaler's staleness bound during partitions.
     last_telemetry: SimTime,
@@ -548,6 +564,7 @@ impl Master {
             net_seq: 0,
             last_heartbeat: BTreeMap::new(),
             suspects: BTreeSet::new(),
+            free_workers: Vec::new(),
             last_telemetry: SimTime::ZERO,
             leases_expired: 0,
             zombies_fenced: 0,
@@ -932,6 +949,9 @@ impl Master {
     ///   (a stopped worker's record is dropped, so no `Stopped` state
     ///   exists), its key set equals the snapshot's, and the heartbeat and
     ///   suspicion maps are keyed by a subset of it.
+    /// * **Free table** — `free_workers` equals a rebuild from `workers`
+    ///   and `suspects`: the same ids in ascending order, each with its
+    ///   worker's current free resources and idle flag.
     pub fn assert_invariants(&self) {
         if !hta_des::sanitize::ACTIVE {
             return;
@@ -1020,6 +1040,16 @@ impl Master {
                 "liveness state kept for stopped worker {w:?}"
             );
         }
+        let rebuilt: Vec<FreeWorker> = self
+            .workers
+            .values()
+            .filter_map(|w| self.free_entry(w))
+            .collect();
+        assert!(
+            self.free_workers == rebuilt,
+            "free table {:?} out of sync with its rebuild {rebuilt:?}",
+            self.free_workers
+        );
         let mut seen_cats = 0usize;
         for (name, id) in self.interner.iter_by_name() {
             assert!(
@@ -1245,6 +1275,7 @@ impl Master {
         self.last_heartbeat.insert(worker, now);
         self.last_telemetry = self.last_telemetry.max(now);
         if self.suspects.remove(&worker) {
+            self.refresh_free(worker);
             self.dispatch(now, fx);
         }
     }
@@ -1406,6 +1437,7 @@ impl Master {
                 w.remove_task(*t);
             }
         }
+        // Also drops the worker from the free table: it is a suspect now.
         self.refresh_worker_snap(wid);
         // Cancelled flows bumped the link generations; re-arm so the
         // survivors' completions still wake the link.
@@ -1724,10 +1756,10 @@ impl Master {
         // A duplicate needs room on a *different* active worker; if none
         // has any, skip silently (the primary keeps running).
         let Some(dup_wid) = self
-            .workers
-            .values()
-            .find(|w| w.id != primary_wid && !self.suspects.contains(&w.id) && w.can_accept(&alloc))
-            .map(|w| w.id)
+            .free_workers
+            .iter()
+            .find(|e| e.id != primary_wid && alloc.fits_in(&e.free))
+            .map(|e| e.id)
         else {
             return;
         };
@@ -1824,17 +1856,20 @@ impl Master {
     }
 
     /// Drop a stopping worker's record together with its snapshot,
-    /// heartbeat and suspicion entries, returning the tasks it still held.
-    /// The one place a worker leaves the table, which keeps every map
-    /// keyed by worker bounded by the live pool.
+    /// heartbeat, suspicion and free-table entries, returning the tasks it
+    /// still held. The one place a worker leaves the table, which keeps
+    /// every map keyed by worker bounded by the live pool.
     fn stop_worker(&mut self, wid: WorkerId) -> Vec<TaskId> {
         self.snap.workers.remove(&wid);
         self.last_heartbeat.remove(&wid);
         self.suspects.remove(&wid);
-        self.workers
+        let tasks = self
+            .workers
             .remove(&wid)
             .map(Worker::into_tasks)
-            .unwrap_or_default()
+            .unwrap_or_default();
+        self.refresh_free(wid);
+        tasks
     }
 
     fn task_finished(
@@ -2007,10 +2042,10 @@ impl Master {
         leftover.clear();
         let mut changed = false;
         // Admission gate: the component-wise max of free resources across
-        // accepting workers is a necessary condition for any placement —
-        // a request that does not fit it cannot fit any single worker. On
-        // a saturated cluster (the common long-queue case) this skips the
-        // per-task worker scan entirely without changing any decision.
+        // the free table is a necessary condition for any placement — a
+        // request that does not fit it cannot fit any single worker. On a
+        // saturated cluster (the common long-queue case) this skips the
+        // per-task first-fit walk entirely without changing any decision.
         let (mut max_free, mut any_idle) = self.dispatch_headroom();
         loop {
             // O(distinct requirements) early exit: once the headroom
@@ -2040,17 +2075,18 @@ impl Master {
                 leftover.push_back(tid);
                 continue;
             }
+            // First-fit in ascending `WorkerId` over the free table.
             let target = match declared {
                 Some(req) => self
-                    .workers
-                    .values()
-                    .find(|w| !self.suspects.contains(&w.id) && w.can_accept(&req))
-                    .map(|w| (w.id, req)),
+                    .free_workers
+                    .iter()
+                    .find(|e| req.fits_in(&e.free))
+                    .map(|e| (e.id, req)),
                 None => self
-                    .workers
-                    .values()
-                    .find(|w| !self.suspects.contains(&w.id) && w.can_accept_exclusive())
-                    .map(|w| (w.id, w.capacity())),
+                    .free_workers
+                    .iter()
+                    .find(|e| e.idle)
+                    .map(|e| (e.id, self.workers[&e.id].capacity())),
             };
             let Some((wid, allocation)) = target else {
                 leftover.push_back(tid);
@@ -2275,26 +2311,22 @@ impl Master {
         }
     }
 
-    /// The dispatch admission gate: the component-wise max of free
-    /// resources across workers that could take a declared-resources task,
-    /// and whether any worker could take an exclusive (unknown-resources)
-    /// one. Both are upper bounds — `can_accept` checks per-worker fit, so
-    /// a request exceeding the max on any axis fits nowhere.
+    /// The dispatch admission gate, folded over the free table: the
+    /// component-wise max of free resources across workers that could take
+    /// a declared-resources task, and whether any worker could take an
+    /// exclusive (unknown-resources) one. Both are upper bounds — a
+    /// request exceeding the max on any axis fits no single worker.
     fn dispatch_headroom(&self) -> (Resources, bool) {
+        // Field by field: `Resources::max` is not inlined across the crate
+        // boundary, and a call per entry made this fold slower than the
+        // worker-map walk it replaces.
         let mut max_free = Resources::ZERO;
         let mut any_idle = false;
-        for w in self.workers.values() {
-            if w.state != WorkerState::Active
-                || w.exclusive_task.is_some()
-                || self.suspects.contains(&w.id)
-            {
-                continue;
-            }
-            let free = w.pool.available();
-            max_free.millicores = max_free.millicores.max(free.millicores);
-            max_free.memory_mb = max_free.memory_mb.max(free.memory_mb);
-            max_free.disk_mb = max_free.disk_mb.max(free.disk_mb);
-            any_idle |= w.is_idle();
+        for e in &self.free_workers {
+            max_free.millicores = max_free.millicores.max(e.free.millicores);
+            max_free.memory_mb = max_free.memory_mb.max(e.free.memory_mb);
+            max_free.disk_mb = max_free.disk_mb.max(e.free.disk_mb);
+            any_idle |= e.idle;
         }
         (max_free, any_idle)
     }
@@ -2340,9 +2372,9 @@ impl Master {
         }
     }
 
-    /// Re-derive one worker's entry in the snapshot. Called whenever its
-    /// state, load, or task count changes ([`stop_worker`](Self::stop_worker)
-    /// removes it).
+    /// Re-derive one worker's entries in the snapshot and the free table.
+    /// Called whenever its state, load, or task count changes
+    /// ([`stop_worker`](Self::stop_worker) removes both).
     fn refresh_worker_snap(&mut self, wid: WorkerId) {
         if let Some(w) = self.workers.get(&wid) {
             let entry = WorkerSnapshot {
@@ -2353,6 +2385,38 @@ impl Master {
                 tasks: w.task_count(),
             };
             self.snap.workers.insert(wid, entry);
+        }
+        self.refresh_free(wid);
+    }
+
+    /// The free-table entry `w` should have: present while it may take new
+    /// work (`Active`, no exclusive task, not a suspect).
+    fn free_entry(&self, w: &Worker) -> Option<FreeWorker> {
+        let accepting = w.state == WorkerState::Active
+            && w.exclusive_task.is_none()
+            && !self.suspects.contains(&w.id);
+        accepting.then(|| FreeWorker {
+            id: w.id,
+            free: w.pool.available(),
+            idle: w.is_idle(),
+        })
+    }
+
+    /// Re-derive one worker's entry in the free table, keeping it sorted
+    /// by `WorkerId`. Runs on every load or state change (through
+    /// [`refresh_worker_snap`](Self::refresh_worker_snap)), at
+    /// [`stop_worker`](Self::stop_worker) and when a heartbeat clears a
+    /// suspicion.
+    fn refresh_free(&mut self, wid: WorkerId) {
+        let entry = self.workers.get(&wid).and_then(|w| self.free_entry(w));
+        let pos = self.free_workers.binary_search_by_key(&wid, |e| e.id);
+        match (pos, entry) {
+            (Ok(i), Some(e)) => self.free_workers[i] = e,
+            (Ok(i), None) => {
+                self.free_workers.remove(i);
+            }
+            (Err(i), Some(e)) => self.free_workers.insert(i, e),
+            (Err(_), None) => {}
         }
     }
 
@@ -2883,7 +2947,7 @@ mod tests {
         let ids: Vec<WorkerId> = (0..3)
             .map(|_| m.worker_connect(SimTime::ZERO, Resources::cores(4, 16_000, 50_000), &mut fx))
             .collect();
-        m.suspects.insert(ids[2]);
+        m.presume_dead(SimTime::ZERO, ids[2], &mut fx);
         m.drain_worker(ids[0]);
         m.kill_worker(SimTime::from_secs(1), ids[2], &mut fx);
         assert!(m.worker(ids[0]).is_none() && m.worker(ids[2]).is_none());
@@ -2898,6 +2962,76 @@ mod tests {
             &mut fx,
         );
         assert_eq!(w, WorkerId(3));
+    }
+
+    /// Ids in the free table, in table order.
+    fn free_ids(m: &Master) -> Vec<WorkerId> {
+        m.free_workers.iter().map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn free_table_follows_exclusive_placement_and_drain() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut q = EventQueue::new();
+        let mut fx = EffectSink::new();
+        let cap = Resources::cores(4, 16_000, 50_000);
+        let ids: Vec<WorkerId> = (0..3)
+            .map(|_| m.worker_connect(SimTime::ZERO, cap, &mut fx))
+            .collect();
+        assert_eq!(free_ids(&m), ids);
+        // An unknown-resources task takes the first worker whole.
+        m.submit(SimTime::ZERO, cpu_task(0, db, None), &mut fx);
+        assert_eq!(free_ids(&m), ids[1..]);
+        // A declared task shrinks the next entry and clears its idle flag.
+        let one = Resources::cores(1, 2_000, 2_000);
+        m.submit(SimTime::ZERO, cpu_task(1, db, Some(one)), &mut fx);
+        assert_eq!(free_ids(&m), ids[1..]);
+        assert_eq!(m.free_workers[0].free, cap.saturating_sub(&one));
+        assert!(!m.free_workers[0].idle && m.free_workers[1].idle);
+        // A busy worker that starts draining leaves at once.
+        m.drain_worker(ids[1]);
+        assert!(m.worker(ids[1]).is_some());
+        assert_eq!(free_ids(&m), [ids[2]]);
+        // Releasing the exclusive task brings its worker back; the
+        // drained worker stops once empty and never returns.
+        run(&mut m, &mut q, &mut fx, 200);
+        assert!(m.all_complete());
+        assert!(m.worker(ids[1]).is_none());
+        assert_eq!(free_ids(&m), [ids[0], ids[2]]);
+        assert!(m.free_workers.iter().all(|e| e.idle && e.free == cap));
+    }
+
+    #[test]
+    fn free_table_follows_suspicion() {
+        let (cat, db) = catalog_with_db();
+        let cfg = MasterConfig {
+            net: NetworkFaults {
+                lease: Duration::from_secs(30),
+                ..NetworkFaults::default()
+            },
+            ..link_cfg()
+        };
+        let mut m = Master::new(cfg, cat);
+        let mut fx = EffectSink::new();
+        let cap = Resources::cores(4, 16_000, 50_000);
+        let ids: Vec<WorkerId> = (0..2)
+            .map(|_| m.worker_connect(SimTime::ZERO, cap, &mut fx))
+            .collect();
+        let one = Resources::cores(1, 2_000, 2_000);
+        m.submit(SimTime::ZERO, cpu_task(0, db, Some(one)), &mut fx);
+        assert_eq!(m.task(TaskId(0)).unwrap().worker(), Some(ids[0]));
+        // A missed lease drops the worker from the table; its task is
+        // re-queued and placed on the other one.
+        let t = SimTime::from_secs(40);
+        m.presume_dead(t, ids[0], &mut fx);
+        assert_eq!(free_ids(&m), [ids[1]]);
+        assert_eq!(m.task(TaskId(0)).unwrap().worker(), Some(ids[1]));
+        // Its next heartbeat re-admits it, emptied of the re-queued task.
+        m.recv_heartbeat(t, ids[0], &mut fx);
+        assert_eq!(free_ids(&m), ids);
+        assert!(m.free_workers[0].idle && m.free_workers[0].free == cap);
+        assert!(!m.free_workers[1].idle);
     }
 
     #[test]
@@ -3513,6 +3647,27 @@ mod tests {
         m.drain_worker(w);
         // A stop path that forgot the heartbeat map must be caught.
         m.last_heartbeat.insert(w, SimTime::ZERO);
+        m.assert_invariants();
+    }
+
+    #[cfg(any(debug_assertions, feature = "sim-sanitizer"))]
+    #[test]
+    #[should_panic(expected = "free table")]
+    fn sanitizer_catches_stale_free_entry() {
+        let (cat, db) = catalog_with_db();
+        let mut m = Master::new(link_cfg(), cat);
+        let mut fx = EffectSink::new();
+        let cap = Resources::cores(4, 16_000, 50_000);
+        let _w = m.worker_connect(SimTime::ZERO, cap, &mut fx);
+        m.submit(
+            SimTime::ZERO,
+            cpu_task(0, db, Some(Resources::cores(1, 2_000, 2_000))),
+            &mut fx,
+        );
+        // A placement path that forgot to refresh the table leaves the
+        // worker's entry at its pre-placement free pool.
+        m.free_workers[0].free = cap;
+        m.free_workers[0].idle = true;
         m.assert_invariants();
     }
 

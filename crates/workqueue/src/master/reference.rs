@@ -6,8 +6,9 @@
 //!   tasks and derives the rest from the demand histogram).
 //! * First-fit over a worker table that never evicts, with no admission
 //!   gate and no early exit ([`Master::dispatch_naive`]): what the gated
-//!   dispatch over live workers only must reproduce, placement for
-//!   placement.
+//!   dispatch over the free-worker table must reproduce, placement for
+//!   placement. The reference walks the worker map and `suspects` itself
+//!   and never reads the free table.
 
 use proptest::prelude::*;
 
@@ -287,8 +288,10 @@ proptest! {
         let mut rigs = [Rig::new(false, lossy), Rig::new(true, lossy)];
         let mut next_id = 0;
         // Open with two workers, so first-fit has a choice, then a backlog
-        // past the prefix.
-        let opening: [Op; 4] = [(2, 0, 3), (2, 0, 1), (0, 700, 1), (0, 500, 6)];
+        // past the prefix of 3-core, then 2-core tasks: the 4-core worker
+        // keeps a core no waiting task fits, so a worker presumed dead in
+        // that state must not take a later 1-core task.
+        let opening: [Op; 4] = [(2, 0, 3), (2, 0, 1), (0, 700, 3), (0, 500, 6)];
         for op in opening.into_iter().chain(ops) {
             match decode(&rigs[0].m, op, &mut next_id) {
                 Some(Action::Step(k)) => step(&mut rigs, k)?,
